@@ -6,18 +6,19 @@ GO ?= go
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 
-# Packages with real concurrency (goroutine ranks, lock-free hogwild workers,
-# parameter-server shards, the trainer that drives them) get a dedicated
+# Packages with real concurrency (goroutine ranks, parameter-server shards,
+# the trainer that drives them) get a dedicated
 # race-detector tier. -short keeps the long end-to-end learning runs out of
 # the ~10-20x race slowdown; unit-level coverage stays on.
-RACE_PKGS = ./internal/hogwild/ ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
+RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
 
 # Packages with kernel micro-benchmarks (ns/op, allocs/op, triples/sec);
 # the top-level package adds the end-to-end paper-table benchmarks.
 BENCH_PKGS = ./internal/grad/ ./internal/mpi/ ./internal/model/ ./internal/pool/ ./internal/tensor/ ./internal/serve/ ./internal/partition/ ./internal/core/ ./internal/binpack/
 
-.PHONY: all build vet lint test race bench bench-smoke faults partition serve \
-	loadbench transport verify-stats soak coverage coverage-update ci help
+.PHONY: all build vet lint test race bench bench-smoke perfbench faults \
+	partition serve loadbench transport verify-stats soak coverage \
+	coverage-update ci help
 
 all: build
 
@@ -30,9 +31,9 @@ vet:
 	$(GO) vet ./...
 
 # kgelint is this repo's own analyzer suite (cmd/kgelint, internal/lint):
-# six per-node matchers (seeded randomness, divergent collectives, float
-# equality, dropped errors, collective error handling, non-atomic shared-row
-# access) plus the CFG/dataflow tier (pooluse buffer lifecycle, scratchhold
+# five per-node matchers (seeded randomness, divergent collectives, float
+# equality, dropped errors, collective error handling) plus the CFG/dataflow
+# tier (pooluse buffer lifecycle, scratchhold
 # borrow retention, hotpathalloc zero-alloc proof) and the stale
 # //kgelint:ignore audit. Zero unsuppressed findings is the merge bar.
 ## lint: run the kgelint analyzer suite (zero findings = pass)
@@ -122,6 +123,14 @@ bench-smoke:
 # bounded property checks (quantizer/selection unbiasedness, RP invariants,
 # DRS switch permanence, SS ordering). Deterministic: same build, same
 # verdict. See TESTING.md for how to read failures and update goldens.
+# The benchmark harness (perfbench/, driven by BENCHMARK.json) is a separate
+# Go module that imports the library through a replace directive, so the
+# targets above never compile it; this one does, so a library change that
+# breaks perfbench/run.sh fails here instead of silently.
+## perfbench: vet and test the benchmark harness module
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## verify-stats: golden-run regression + statistical property checks
 verify-stats:
 	$(GO) run ./cmd/kgeverify
@@ -157,8 +166,8 @@ coverage:
 coverage-update: coverage
 	cp coverage.txt COVERAGE_BASELINE.txt
 
-## ci: everything CI runs (build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke)
-ci: build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke
+## ci: everything CI runs (build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke perfbench)
+ci: build vet lint test race faults partition serve loadbench transport verify-stats coverage bench-smoke perfbench
 
 ## help: list targets
 help:

@@ -128,9 +128,9 @@ func BenchmarkDRSProbePeriod(b *testing.B) {
 	}
 }
 
-// BenchmarkRelationPartitionAlgo measures the §4.4 partitioner itself
+// BenchmarkRelationPartitioner measures the §4.4 partitioner itself
 // (sort + prefix sum + binary-searched splits).
-func BenchmarkRelationPartitionAlgo(b *testing.B) {
+func BenchmarkRelationPartitioner(b *testing.B) {
 	rng := xrand.New(1)
 	triples := make([]kg.Triple, 200000)
 	for i := range triples {
@@ -174,7 +174,7 @@ func BenchmarkSelectionModes(b *testing.B) {
 	d := ablationDataset()
 	modes := []grad.SelectMode{
 		grad.SelectAll, grad.SelectAvgThreshold, grad.SelectAvgTenthThreshold,
-		grad.SelectBernoulli, grad.SelectTopQuarter, grad.SelectUnbiased,
+		grad.SelectBernoulli, grad.SelectUnbiased,
 	}
 	for _, mode := range modes {
 		b.Run(mode.String(), func(b *testing.B) {
@@ -182,24 +182,6 @@ func BenchmarkSelectionModes(b *testing.B) {
 				cfg := ablationConfig()
 				cfg.Select = mode
 				if _, err := core.Train(cfg, d, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionPrefixVsLPT compares the two relation partitioners
-// end to end.
-func BenchmarkPartitionPrefixVsLPT(b *testing.B) {
-	d := ablationDataset()
-	for _, algo := range []string{"prefix", "lpt"} {
-		b.Run(algo, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.RelationPartition = true
-				cfg.PartitionAlgo = algo
-				if _, err := core.Train(cfg, d, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,23 +199,6 @@ func BenchmarkLossObjectives(b *testing.B) {
 				cfg.LossName = loss
 				cfg.Margin = 1
 				if _, err := core.Train(cfg, d, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSyncEvery sweeps the local-SGD averaging period.
-func BenchmarkSyncEvery(b *testing.B) {
-	d := ablationDataset()
-	for _, k := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "every-batch", 4: "every-4", 8: "every-8"}[k], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ablationConfig()
-				cfg.Comm = core.CommAllReduce
-				cfg.SyncEvery = k
-				if _, err := core.Train(cfg, d, 4); err != nil {
 					b.Fatal(err)
 				}
 			}

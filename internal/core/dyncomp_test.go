@@ -26,8 +26,6 @@ func TestDynamicCompressValidation(t *testing.T) {
 		func(c *Config) { c.Quant = grad.OneBitMax },
 		func(c *Config) { c.Select = grad.SelectBernoulli },
 		func(c *Config) { c.ErrorFeedback = true },
-		func(c *Config) { c.ValueSparsify = 4 },
-		func(c *Config) { c.SyncEvery = 4 },
 		func(c *Config) { c.CompressHold = -1 },
 		func(c *Config) { c.CompressWarmup = -1 },
 		func(c *Config) { c.Comm = CommAllReduce }, // hysteresis without dyncomp

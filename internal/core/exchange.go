@@ -145,23 +145,6 @@ func (x *exchanger) allReduce(g, agg *grad.SparseGrad, rows int, buf *[]float32,
 func (x *exchanger) allGather(g, agg *grad.SparseGrad, res *grad.Residual, tag string) (*grad.SparseGrad, float64, error) {
 	agg.Clear()
 	var cost float64
-	if x.cfg.ValueSparsify > 0 {
-		vs := grad.SparsifyValues(g, x.cfg.ValueSparsify)
-		payloads, c, err := x.comm.AllGatherBytes(vs.Marshal(), tag)
-		if err != nil {
-			return nil, 0, err
-		}
-		cost = c
-		for _, p := range payloads {
-			dec, err := grad.UnmarshalValueSparse(p)
-			if err != nil {
-				panic(fmt.Sprintf("core: corrupt value-sparse payload: %v", err))
-			}
-			dec.AddInto(agg)
-		}
-		scaleRows(agg, x.comm.Size())
-		return agg, cost, nil
-	}
 	if x.cfg.Quant == grad.NoQuant {
 		idx, flat := g.Flatten()
 		allIdx, allVals, c, err := x.comm.AllGatherRows(idx, flat, tag)

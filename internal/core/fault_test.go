@@ -11,6 +11,34 @@ import (
 	"kgedist/internal/simnet"
 )
 
+// rollback must rewind every part of the run record the failed attempt
+// wrote past the snapshot — the per-epoch ledger, the epoch counter and the
+// ladder steps — and count the failure.
+func TestRollbackRewindsToSnapshot(t *testing.T) {
+	res := &Result{
+		Epochs: 5,
+		PerEpoch: []EpochStats{
+			{Epoch: 1}, {Epoch: 2}, {Epoch: 3}, {Epoch: 4}, {Epoch: 5},
+		},
+		CompressionSteps: []CompressionStep{{Epoch: 3, Level: "2bit"}},
+	}
+	rec := RecoveryStats{Recoveries: 1, RankFailures: 1, EpochsLost: 2}
+	rollback(res, &rec, 2, 2)
+	if res.Epochs != 2 {
+		t.Fatalf("Epochs = %d, want 2", res.Epochs)
+	}
+	if len(res.PerEpoch) != 2 || res.PerEpoch[1].Epoch != 2 {
+		t.Fatalf("PerEpoch = %+v, want epochs 1-2", res.PerEpoch)
+	}
+	if res.CompressionSteps != nil {
+		t.Fatalf("CompressionSteps = %+v survived the rollback", res.CompressionSteps)
+	}
+	want := RecoveryStats{Recoveries: 2, RankFailures: 3, EpochsLost: 5}
+	if rec != want {
+		t.Fatalf("RecoveryStats = %+v, want %+v", rec, want)
+	}
+}
+
 // faultConfig returns the shared test configuration with a crash scheduled
 // mid-training. On the core test dataset with 4 nodes an epoch costs about
 // 1.4 virtual milliseconds, so a crash at 5 ms lands inside epoch 4 — after

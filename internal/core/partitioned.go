@@ -288,12 +288,7 @@ func (t *trainRun) workerPartitioned(c *mpi.Comm) error {
 		cfg.LRFactor, cfg.MinLR, cfg.Tolerance)
 
 	rng := xrand.New(cfg.Seed).Split(uint64(rank + 1))
-	var sampler model.Corrupter
-	if cfg.NegSampling == "degree" {
-		sampler = model.NewDegreeSampler(t.d, rng.Split(2))
-	} else {
-		sampler = model.NewNegSampler(t.d.NumEntities, rng.Split(2))
-	}
+	sampler := model.NewNegSampler(t.d.NumEntities, rng.Split(2))
 	selRng := rng.Split(3)
 
 	uidG := grad.NewSparseGrad(t.width)
@@ -457,9 +452,6 @@ func (t *trainRun) workerPartitioned(c *mpi.Comm) error {
 		if sinceBest >= cfg.StopPatience {
 			break
 		}
-		if cfg.MaxVirtualHours > 0 && t.cluster.MaxTime() > cfg.MaxVirtualHours*3600 {
-			break
-		}
 	}
 
 	// Publish the trained model: the stop decisions above are identical on
@@ -547,13 +539,7 @@ func (t *trainRun) applyOwnedGrads(o opt.Optimizer, s *shardStore, agg *grad.Spa
 	}
 	o.BeginStep()
 	decay := 1 - 2*float32(t.cfg.L2)*lr
-	clip := float32(t.cfg.ClipNorm)
 	agg.ForEach(func(uid int32, row []float32) {
-		if clip > 0 {
-			if n := tensor.Nrm2(row); n > clip {
-				tensor.Scale(clip/n, row)
-			}
-		}
 		li := s.local[uid]
 		pr := s.rows.Row(int(li))
 		o.ApplyRow(li, pr, row, lr)

@@ -62,9 +62,6 @@ func TrainProcess(cfg Config, d *kg.Dataset, ep transport.Endpoint) (res *Result
 	nodes := ep.Size()
 
 	cluster := simnet.NewCluster(nodes, simnet.XC40Params())
-	if cfg.StragglerSlowdown > 1 {
-		cluster.SetComputeSpeed(0, 1/cfg.StragglerSlowdown)
-	}
 	world, err := mpi.NewProcessWorld(cluster, ep)
 	if err != nil {
 		return nil, err
@@ -98,7 +95,6 @@ func TrainProcess(cfg Config, d *kg.Dataset, ep transport.Endpoint) (res *Result
 	var rec RecoveryStats
 
 	var run *trainRun
-	attempt := 0
 	for {
 		myRank := world.LocalRanks()[0]
 		pt, perr := buildPartition(&cfg, d, world.Size())
@@ -144,20 +140,13 @@ func TrainProcess(cfg Config, d *kg.Dataset, ep transport.Endpoint) (res *Result
 		}
 
 		// ---- Shrink-and-continue over the real fabric ----
-		attempt++
-		rec.Recoveries++
-		rec.RankFailures += len(rf.Ranks)
-		rec.EpochsLost += res.Epochs - snap.epoch
-		for len(res.PerEpoch) > 0 && res.PerEpoch[len(res.PerEpoch)-1].Epoch > snap.epoch {
-			res.PerEpoch = res.PerEpoch[:len(res.PerEpoch)-1]
-		}
-		res.Epochs = snap.epoch
+		rollback(res, &rec, snap.epoch, len(rf.Ranks))
 
-		if attempt > cfg.MaxRecoveries && world.Size()-len(rf.Ranks) > 1 {
+		if rec.Recoveries > cfg.MaxRecoveries && world.Size()-len(rf.Ranks) > 1 {
 			// The channel world degrades to one fresh fault-free node here;
 			// real processes cannot be collapsed into each other.
 			return nil, fmt.Errorf("core: %d recoveries exhausted MaxRecoveries=%d; restart the job from the checkpoint: %w",
-				attempt, cfg.MaxRecoveries, err)
+				rec.Recoveries, cfg.MaxRecoveries, err)
 		}
 		shrunk, serr := world.Shrink(rf.Ranks)
 		if serr != nil {
@@ -170,7 +159,7 @@ func TrainProcess(cfg Config, d *kg.Dataset, ep transport.Endpoint) (res *Result
 		// stay in lockstep through the failure.
 		bytes := int64(4 * (len(snap.params.Entity.Data) + len(snap.params.Relation.Data)))
 		reload, _, _ := cluster.PointToPointCost(bytes)
-		cost := cfg.RecoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
+		cost := cfg.RecoveryBackoff*math.Pow(2, float64(rec.Recoveries-1)) + reload*float64(world.Size())
 		cluster.Collective(cost, bytes*int64(world.Size()), int64(world.Size()), tagRecovery)
 		rec.RecoverySeconds += cost
 	}

@@ -90,11 +90,7 @@ func buildPartition(cfg *Config, d *kg.Dataset, nodes int) (partition, error) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
 	if cfg.RelationPartition {
-		if cfg.PartitionAlgo == "lpt" {
-			pt.shards = kg.RelationPartitionLPT(shuffled, d.NumRelations, nodes)
-		} else {
-			pt.shards = kg.RelationPartition(shuffled, d.NumRelations, nodes)
-		}
+		pt.shards = kg.RelationPartition(shuffled, d.NumRelations, nodes)
 		pt.relOwner = make([]int, d.NumRelations)
 		for r := range pt.relOwner {
 			pt.relOwner[r] = -1
@@ -143,6 +139,23 @@ type snapshot struct {
 	params *model.Params
 }
 
+// rollback rewinds the run's record to the snapshot epoch after a failure
+// of failed ranks, counting the failure and the epochs it threw away. Both
+// attempt loops (Train and TrainProcess) call it before resuming.
+func rollback(res *Result, rec *RecoveryStats, snapEpoch, failed int) {
+	rec.Recoveries++
+	rec.RankFailures += failed
+	rec.EpochsLost += res.Epochs - snapEpoch
+	for len(res.PerEpoch) > 0 && res.PerEpoch[len(res.PerEpoch)-1].Epoch > snapEpoch {
+		res.PerEpoch = res.PerEpoch[:len(res.PerEpoch)-1]
+	}
+	res.Epochs = snapEpoch
+	// The adaptive controller and its residuals are rank-local state lost
+	// with the dead world; the new attempt re-ascends the ladder from fp32
+	// (DESIGN.md §13), so its step record starts over too.
+	res.CompressionSteps = nil
+}
+
 // trainInternal is Train plus white-box access to the per-rank replicas and
 // the relation-owner table, used by the replica-consistency tests.
 //
@@ -172,9 +185,6 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 
 	// ---- Cluster, world, replicated parameters ----
 	cluster := simnet.NewCluster(nodes, simnet.XC40Params())
-	if cfg.StragglerSlowdown > 1 {
-		cluster.SetComputeSpeed(0, 1/cfg.StragglerSlowdown)
-	}
 	if cfg.FaultPlan != nil {
 		if err := cluster.SetFaultPlan(cfg.FaultPlan); err != nil {
 			return nil, nil, nil, err
@@ -204,7 +214,6 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 	var perRank []*model.Params
 	var relOwner []int
 	var run *trainRun
-	attempt := 0
 	for {
 		pt, perr := buildPartition(&cfg, d, world.Size())
 		if perr != nil {
@@ -247,20 +256,9 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 		}
 
 		// ---- Shrink-and-continue ----
-		attempt++
-		rec.Recoveries++
-		rec.RankFailures += len(rf.Ranks)
-		rec.EpochsLost += res.Epochs - snap.epoch
-		for len(res.PerEpoch) > 0 && res.PerEpoch[len(res.PerEpoch)-1].Epoch > snap.epoch {
-			res.PerEpoch = res.PerEpoch[:len(res.PerEpoch)-1]
-		}
-		res.Epochs = snap.epoch
-		// The adaptive controller and its residuals are rank-local state lost
-		// with the dead world; the new attempt re-ascends the ladder from
-		// fp32 (DESIGN.md §13), so its step record starts over too.
-		res.CompressionSteps = nil
+		rollback(res, &rec, snap.epoch, len(rf.Ranks))
 
-		degrade := attempt > cfg.MaxRecoveries || world.Size()-len(rf.Ranks) == 1
+		degrade := rec.Recoveries > cfg.MaxRecoveries || world.Size()-len(rf.Ranks) == 1
 		shrunk, serr := world.Shrink(rf.Ranks)
 		if serr != nil {
 			return nil, nil, nil, errors.Join(err, serr)
@@ -288,7 +286,7 @@ func trainInternal(cfg Config, d *kg.Dataset, nodes int) (*Result, []*model.Para
 		// reloading the snapshot from stable storage.
 		bytes := int64(4 * (len(snap.params.Entity.Data) + len(snap.params.Relation.Data)))
 		reload, _, _ := cluster.PointToPointCost(bytes)
-		cost := cfg.RecoveryBackoff*math.Pow(2, float64(attempt-1)) + reload*float64(world.Size())
+		cost := cfg.RecoveryBackoff*math.Pow(2, float64(rec.Recoveries-1)) + reload*float64(world.Size())
 		cluster.Collective(cost, bytes*int64(world.Size()), int64(world.Size()), tagRecovery)
 		rec.RecoverySeconds += cost
 	}
@@ -395,12 +393,7 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		cfg.LRFactor, cfg.MinLR, cfg.Tolerance)
 
 	rng := xrand.New(cfg.Seed).Split(uint64(rank + 1))
-	var sampler model.Corrupter
-	if cfg.NegSampling == "degree" {
-		sampler = model.NewDegreeSampler(t.d, rng.Split(2))
-	} else {
-		sampler = model.NewNegSampler(t.d.NumEntities, rng.Split(2))
-	}
+	sampler := model.NewNegSampler(t.d.NumEntities, rng.Split(2))
 	selRng := rng.Split(3)
 	x := newExchanger(cfg, c, t.width, t.d.NumEntities, t.d.NumRelations, rng.Split(4))
 
@@ -495,27 +488,6 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 			// pipeline's residual/selection touch it.
 			flops += x.observe(entG)
 			t.cluster.AddCompute(rank, flops)
-
-			if cfg.SyncEvery > 1 {
-				// Local-SGD mode: apply the rank-local gradients without
-				// exchange, then periodically average the replicas.
-				applyFlops := t.applyGrads(entOpt, params.Entity, entG, lr)
-				applyFlops += t.applyGrads(relOpt, params.Relation, relG, lr)
-				t.cluster.AddCompute(rank, applyFlops)
-				if (b+1)%cfg.SyncEvery == 0 || b == t.batchesPerEpoch-1 {
-					if _, err := c.AllReduceSum(params.Entity.Data, tagEntity); err != nil {
-						return err
-					}
-					tensor.Scale(1/float32(nodes), params.Entity.Data)
-					if !cfg.RelationPartition {
-						if _, err := c.AllReduceSum(params.Relation.Data, tagRelation); err != nil {
-							return err
-						}
-						tensor.Scale(1/float32(nodes), params.Relation.Data)
-					}
-				}
-				continue
-			}
 
 			entAgg, relAgg, cost, err := x.exchange(entG, relG, mode)
 			if err != nil {
@@ -650,11 +622,6 @@ func (t *trainRun) worker(c *mpi.Comm) error {
 		if sinceBest >= cfg.StopPatience {
 			break
 		}
-		// Virtual-time budget: clocks are identical after the barrier, so
-		// every rank reaches the same verdict.
-		if cfg.MaxVirtualHours > 0 && t.cluster.MaxTime() > cfg.MaxVirtualHours*3600 {
-			break
-		}
 	}
 	return nil
 }
@@ -703,7 +670,7 @@ func (t *trainRun) checkpointEpoch(c *mpi.Comm, epoch int) error {
 // configured objective and sampling scheme. It returns the flops spent, the
 // summed per-example loss, and the number of loss terms contributing (so the
 // caller can track a mean training loss per epoch).
-func (t *trainRun) trainExample(p *model.Params, pos kg.Triple, sampler model.Corrupter, entG, relG *grad.SparseGrad, negBuf []kg.Triple) (flops, lossSum float64, lossN int) {
+func (t *trainRun) trainExample(p *model.Params, pos kg.Triple, sampler *model.NegSampler, entG, relG *grad.SparseGrad, negBuf []kg.Triple) (flops, lossSum float64, lossN int) {
 	cfg := t.cfg
 	var negs []kg.Triple
 	if cfg.NegSelect {
@@ -778,13 +745,7 @@ func (t *trainRun) applyGrads(o opt.Optimizer, mat *tensor.Matrix, agg *grad.Spa
 	}
 	o.BeginStep()
 	decay := 1 - 2*float32(t.cfg.L2)*lr
-	clip := float32(t.cfg.ClipNorm)
 	agg.ForEach(func(id int32, row []float32) {
-		if clip > 0 {
-			if n := tensor.Nrm2(row); n > clip {
-				tensor.Scale(clip/n, row)
-			}
-		}
 		pr := mat.Row(int(id))
 		o.ApplyRow(id, pr, row, lr)
 		if t.cfg.L2 > 0 {

@@ -286,26 +286,6 @@ func TestQuickOneBitFamily(t *testing.T) {
 	}
 }
 
-func BenchmarkQuantizeOneBit(b *testing.B) {
-	rng := xrand.New(1)
-	g := randGrad(rng, 500, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Quantize(g, OneBitMax, nil)
-	}
-}
-
-func BenchmarkDequantizeOneBit(b *testing.B) {
-	rng := xrand.New(1)
-	g := randGrad(rng, 500, 64)
-	e := Quantize(g, OneBitMax, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := NewSparseGrad(64)
-		Dequantize(e, dst)
-	}
-}
-
 // Property: the encoded wire size follows the documented formula for every
 // scheme — 4 bytes index + 4 bytes scale per row plus the packed payload.
 func TestQuickWireBytesFormula(t *testing.T) {

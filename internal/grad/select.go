@@ -1,10 +1,6 @@
 package grad
 
-import (
-	"sort"
-
-	"kgedist/internal/xrand"
-)
+import "kgedist/internal/xrand"
 
 // SelectMode chooses how the random-selection strategy (§4.2) filters
 // gradient rows before communication.
@@ -22,10 +18,6 @@ const (
 	// SelectBernoulli keeps row i with probability min(1, ||g_i||/C),
 	// C = mean 2-norm — the paper's chosen method ("random selection").
 	SelectBernoulli
-	// SelectTopQuarter keeps the top 25% of rows by 2-norm — the
-	// threshold-sparsification baseline of Aji & Heafield (2017) discussed
-	// in the paper's related work (§2).
-	SelectTopQuarter
 	// SelectUnbiased keeps rows like SelectBernoulli but rescales each
 	// kept row by 1/p so the sparse gradient is an unbiased estimator of
 	// the dense one — the Wangni et al. (2017) variance-controlled scheme
@@ -44,8 +36,6 @@ func (m SelectMode) String() string {
 		return "averagex0.1"
 	case SelectBernoulli:
 		return "random-selection"
-	case SelectTopQuarter:
-		return "top-25%"
 	case SelectUnbiased:
 		return "unbiased-selection"
 	}
@@ -97,10 +87,6 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 		st.Kept = st.Before
 		return st
 	}
-	var thresh float32
-	if mode == SelectTopQuarter {
-		thresh = quantileNorm(norms, 0.75)
-	}
 	// In-package exception to the Indices aliasing rule: Drop only
 	// invalidates the cached-index flag, never the backing array, so
 	// dropping while ranging over the snapshot is safe here.
@@ -115,8 +101,6 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 			keep = n >= 0.1*mean
 		case SelectBernoulli:
 			keep = rng.Bernoulli(float64(n) / float64(mean))
-		case SelectTopQuarter:
-			keep = n >= thresh
 		case SelectUnbiased:
 			p := float64(n) / float64(mean)
 			keep = rng.Bernoulli(p)
@@ -144,15 +128,4 @@ func selectRows(g *SparseGrad, mode SelectMode, rng *xrand.RNG, res *Residual) S
 		}
 	}
 	return st
-}
-
-// quantileNorm returns the q-quantile of the norm values.
-func quantileNorm(norms map[int32]float32, q float64) float32 {
-	vals := make([]float64, 0, len(norms))
-	for _, n := range norms {
-		vals = append(vals, float64(n))
-	}
-	sort.Float64s(vals)
-	idx := int(q * float64(len(vals)-1))
-	return float32(vals[idx])
 }

@@ -151,24 +151,6 @@ func TestSelectSparsityOrdering(t *testing.T) {
 	}
 }
 
-func TestSelectTopQuarter(t *testing.T) {
-	t.Parallel()
-	// 8 rows with norms 1..8: the top quarter (norms 7, 8) survives; the
-	// quantile boundary row itself is kept.
-	norms := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	g := mkGrad(4, norms)
-	st := Select(g, SelectTopQuarter, nil)
-	if st.Kept < 2 || st.Kept > 3 {
-		t.Fatalf("top-quarter kept %d of 8", st.Kept)
-	}
-	if _, ok := g.Get(7); !ok {
-		t.Fatal("largest row dropped")
-	}
-	if _, ok := g.Get(0); ok {
-		t.Fatal("smallest row kept")
-	}
-}
-
 func TestSelectUnbiasedExpectation(t *testing.T) {
 	t.Parallel()
 	// E[selected row] must equal the original row: keep prob p = n/C and
@@ -206,7 +188,7 @@ func TestSelectUnbiasedLargeRowsUnscaled(t *testing.T) {
 
 func TestNewModeStrings(t *testing.T) {
 	t.Parallel()
-	if SelectTopQuarter.String() != "top-25%" || SelectUnbiased.String() != "unbiased-selection" {
+	if SelectUnbiased.String() != "unbiased-selection" {
 		t.Fatal("new mode strings wrong")
 	}
 }

@@ -162,50 +162,6 @@ func RelationPartition(triples []Triple, numRelations, p int) [][]Triple {
 	return out
 }
 
-// RelationPartitionLPT is an alternative relation partitioner using greedy
-// longest-processing-time scheduling: relations are sorted by triple count
-// descending and each is assigned to the currently lightest rank. It keeps
-// the same no-relation-spans-two-ranks invariant as RelationPartition but
-// trades the paper's contiguous-range split (cheap: prefix sum + binary
-// search, preserves relation locality) for better balance under skewed
-// histograms — the ablation benchmarks compare the two.
-func RelationPartitionLPT(triples []Triple, numRelations, p int) [][]Triple {
-	if p <= 0 {
-		panic("kg: RelationPartitionLPT with non-positive p")
-	}
-	byRel := make([][]Triple, numRelations)
-	for _, t := range triples {
-		byRel[t.R] = append(byRel[t.R], t)
-	}
-	order := make([]int, numRelations)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if len(byRel[order[i]]) != len(byRel[order[j]]) {
-			return len(byRel[order[i]]) > len(byRel[order[j]])
-		}
-		return order[i] < order[j] // deterministic tie-break
-	})
-	out := make([][]Triple, p)
-	loads := make([]int, p)
-	for _, r := range order {
-		if len(byRel[r]) == 0 {
-			continue
-		}
-		// Lightest rank (lowest index wins ties).
-		best := 0
-		for k := 1; k < p; k++ {
-			if loads[k] < loads[best] {
-				best = k
-			}
-		}
-		out[best] = append(out[best], byRel[r]...)
-		loads[best] += len(byRel[r])
-	}
-	return out
-}
-
 // PartitionRelationsDisjoint verifies the relation-partition invariant: no
 // relation id appears in more than one part. It returns the offending
 // relation id, or -1 when the invariant holds.

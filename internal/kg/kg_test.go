@@ -262,62 +262,6 @@ func TestQuickRelationPartition(t *testing.T) {
 	}
 }
 
-func TestRelationPartitionLPTInvariants(t *testing.T) {
-	t.Parallel()
-	d := Generate(GenConfig{Name: "g", Entities: 500, Relations: 60, Triples: 8000, Seed: 1})
-	for _, p := range []int{1, 2, 4, 8, 16} {
-		parts := RelationPartitionLPT(d.Train, d.NumRelations, p)
-		if len(parts) != p {
-			t.Fatalf("p=%d: %d parts", p, len(parts))
-		}
-		if bad := PartitionRelationsDisjoint(parts); bad != -1 {
-			t.Fatalf("p=%d: relation %d spans ranks", p, bad)
-		}
-		total := 0
-		for _, part := range parts {
-			total += len(part)
-		}
-		if total != len(d.Train) {
-			t.Fatalf("p=%d: lost triples", p)
-		}
-	}
-}
-
-func TestRelationPartitionLPTBalancesSkew(t *testing.T) {
-	t.Parallel()
-	// Under a heavily skewed histogram LPT must balance at least as well
-	// as the contiguous prefix-sum split.
-	d := Generate(GenConfig{Name: "g", Entities: 2000, Relations: 200, Triples: 30000,
-		RelationZipf: 1.2, Seed: 5})
-	for _, p := range []int{4, 8} {
-		prefix := PartitionImbalance(RelationPartition(d.Train, d.NumRelations, p))
-		lpt := PartitionImbalance(RelationPartitionLPT(d.Train, d.NumRelations, p))
-		if lpt > prefix+1e-9 {
-			t.Fatalf("p=%d: LPT imbalance %v worse than prefix split %v", p, lpt, prefix)
-		}
-		if lpt > 1.3 {
-			t.Fatalf("p=%d: LPT imbalance %v too high", p, lpt)
-		}
-	}
-}
-
-func TestRelationPartitionLPTDeterministic(t *testing.T) {
-	t.Parallel()
-	d := Generate(GenConfig{Name: "g", Entities: 300, Relations: 40, Triples: 4000, Seed: 9})
-	a := RelationPartitionLPT(d.Train, d.NumRelations, 4)
-	b := RelationPartitionLPT(d.Train, d.NumRelations, 4)
-	for r := range a {
-		if len(a[r]) != len(b[r]) {
-			t.Fatal("nondeterministic LPT partition")
-		}
-		for i := range a[r] {
-			if a[r][i] != b[r][i] {
-				t.Fatal("nondeterministic LPT partition content")
-			}
-		}
-	}
-}
-
 func TestAugmentInverses(t *testing.T) {
 	t.Parallel()
 	d := smallDataset()

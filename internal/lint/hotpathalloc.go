@@ -3,8 +3,8 @@ package lint
 // hotpathalloc proves the zero-alloc property of the training and serving
 // hot paths at review time, complementing the AllocsPerRun==0 runtime pins
 // from the perf harness. Entry points carry a `//kgelint:hotpath` doc
-// directive (hogwild step, the exchanger, gradient quantize/decode, the
-// serve batcher dispatch); the analyzer walks every function in the same
+// directive (the exchanger, gradient quantize/decode, the serve batcher
+// dispatch); the analyzer walks every function in the same
 // package reachable from them through static calls and flags allocating
 // constructs:
 //

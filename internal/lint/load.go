@@ -211,7 +211,7 @@ func LoadDir(dir string) (*Package, error) {
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports, importMap))
 	info := newTypesInfo()
 	// The fixture's import path embeds the directory name so analyzers that
-	// scope by package path (e.g. atomicrow on .../hogwild) see it.
+	// scope by package path see a distinct path per fixture.
 	pkgPath := "kgedist/fixture/" + filepath.Base(dir)
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)

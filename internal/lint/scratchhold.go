@@ -7,8 +7,8 @@ package lint
 // return — storing it (or anything reachable from it) into package-level
 // state, a struct field, a map or a pointee, sending it over a channel, or
 // handing it to a spawned goroutine — lets two batches race on one scratch
-// buffer, which is precisely the aliasing bug the hogwild trainer's
-// per-worker scratch discipline exists to prevent.
+// buffer, which is precisely the aliasing bug per-worker scratch discipline
+// exists to prevent.
 //
 // The analysis computes the intra-procedural may-alias closure of the
 // scratch parameters (plain copies, field/element projections and reslices

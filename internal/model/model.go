@@ -53,9 +53,9 @@ type Model interface {
 	// plausible.
 	Score(p *Params, t kg.Triple) float32
 	// ScoreRows scores from explicit embedding rows (head, relation, tail),
-	// each Width() long. Callers that must not touch the shared store
-	// directly — the lock-free hogwild workers score thread-local row
-	// snapshots — go through this entry point.
+	// each Width() long. Callers whose rows do not live in a Params — the
+	// serve store and sweeps, Scratch row snapshots — go through this entry
+	// point.
 	ScoreRows(h, r, t []float32) float32
 	// AccumulateScoreGrad adds coef * dScore/dRow into the three gradient
 	// rows (head entity, relation, tail entity), each Width() long.

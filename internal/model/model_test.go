@@ -367,55 +367,3 @@ func BenchmarkComplExGrad(b *testing.B) {
 		m.AccumulateScoreGrad(p, tr, 0.1, gh, gr, gt)
 	}
 }
-
-func TestDegreeSamplerBiasedTowardPopular(t *testing.T) {
-	// Entity 0 appears in every triple; entity 1..9 rarely. Corruptions
-	// must hit entity 0 far more often than any single tail entity.
-	d := &kg.Dataset{NumEntities: 10, NumRelations: 1}
-	for i := int32(1); i < 10; i++ {
-		d.Train = append(d.Train, kg.Triple{H: 0, R: 0, T: i})
-	}
-	s := NewDegreeSampler(d, xrand.New(3))
-	counts := make([]int, 10)
-	pos := kg.Triple{H: 5, R: 0, T: 6}
-	for i := 0; i < 5000; i++ {
-		n := s.Corrupt(pos)
-		if n.H != pos.H {
-			counts[n.H]++
-		} else {
-			counts[n.T]++
-		}
-	}
-	for e := 1; e < 10; e++ {
-		if e == 5 || e == 6 {
-			continue // the positive's own slots are excluded sometimes
-		}
-		if counts[0] < 3*counts[e] {
-			t.Fatalf("popular entity drawn %d times vs entity %d's %d", counts[0], e, counts[e])
-		}
-	}
-}
-
-func TestDegreeSamplerCorruptN(t *testing.T) {
-	d := kg.Generate(kg.GenConfig{Entities: 50, Relations: 4, Triples: 500, Seed: 5})
-	s := NewDegreeSampler(d, xrand.New(7))
-	pos := d.Train[0]
-	negs := s.CorruptN(pos, 6, nil)
-	if len(negs) != 6 {
-		t.Fatalf("CorruptN returned %d", len(negs))
-	}
-	for _, n := range negs {
-		if n == pos || n.R != pos.R {
-			t.Fatalf("bad corruption %+v", n)
-		}
-	}
-}
-
-func TestDegreeSamplerPanicsTinyUniverse(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDegreeSampler(&kg.Dataset{NumEntities: 1, NumRelations: 1}, xrand.New(1))
-}

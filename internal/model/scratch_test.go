@@ -61,8 +61,7 @@ func TestScratchScoreMatchesModel(t *testing.T) {
 }
 
 // The score and gradient sweep through a warm Scratch must not allocate —
-// this is the per-triple inner loop of hogwild and serve (ISSUE 4
-// acceptance criterion, asserted with testing.AllocsPerRun).
+// it is a per-triple inner loop (asserted with testing.AllocsPerRun).
 func TestScratchSweepAllocFree(t *testing.T) {
 	for _, name := range []string{"complex", "distmult", "transe", "rotate", "transh", "simple"} {
 		m := New(name, 16)

@@ -25,7 +25,8 @@ type Optimizer interface {
 }
 
 // NewByName constructs an optimizer for a matrix with the given shape.
-// Names: "sgd", "adagrad", "adam". Panics on an unknown name.
+// Names: "sgd", "adagrad", "adam". Panics on an unknown name; callers that
+// take the name from user input check it with IsKnownOptimizer first.
 func NewByName(name string, rows, width int) Optimizer {
 	switch name {
 	case "sgd":
@@ -36,6 +37,15 @@ func NewByName(name string, rows, width int) Optimizer {
 		return NewAdam(rows, width)
 	}
 	panic("opt: unknown optimizer " + name)
+}
+
+// IsKnownOptimizer reports whether NewByName accepts the name.
+func IsKnownOptimizer(name string) bool {
+	switch name {
+	case "sgd", "adagrad", "adam":
+		return true
+	}
+	return false
 }
 
 // ---- SGD -------------------------------------------------------------------

@@ -23,6 +23,19 @@ func TestNewByName(t *testing.T) {
 	NewByName("nope", 1, 1)
 }
 
+func TestIsKnownOptimizer(t *testing.T) {
+	for _, name := range []string{"sgd", "adagrad", "adam"} {
+		if !IsKnownOptimizer(name) {
+			t.Fatalf("IsKnownOptimizer(%q) = false for a name NewByName accepts", name)
+		}
+	}
+	for _, name := range []string{"", "nope", "Adam"} {
+		if IsKnownOptimizer(name) {
+			t.Fatalf("IsKnownOptimizer(%q) = true", name)
+		}
+	}
+}
+
 func TestSGDApplyRow(t *testing.T) {
 	s := NewSGD()
 	s.BeginStep()

@@ -14,7 +14,8 @@ package simnet
 //     where a dead rank is only ever *observed* by a stalled collective.
 //   - FaultSlow: while the rank's clock is inside [At, At+Duration) its
 //     compute throughput is divided by Factor — a thermal-throttle /
-//     noisy-neighbour transient on top of the permanent SetComputeSpeed knob.
+//     noisy-neighbour transient, or a straggler when the window spans the
+//     whole run.
 //   - FaultDelay: while the cluster clock is inside [At, At+Duration) every
 //     collective's cost is multiplied by Factor — a network congestion spike.
 //     All ranks participate in every collective here, so the spike is charged
@@ -255,10 +256,10 @@ func (c *Cluster) CrashDue(rank int) bool {
 	return due
 }
 
-// effectiveSpeed returns rank's compute speed with any active slowdown
-// windows applied. Caller holds c.mu.
+// effectiveSpeed returns rank's compute speed relative to nominal with any
+// active slowdown windows applied. Caller holds c.mu.
 func (c *Cluster) effectiveSpeed(rank int) float64 {
-	s := c.speed[rank]
+	s := 1.0
 	if c.plan == nil {
 		return s
 	}
@@ -295,7 +296,7 @@ func (c *Cluster) delayFactor(t float64) float64 {
 }
 
 // Shrink removes the given ranks from the cluster: survivors are renumbered
-// densely in rank order, keeping their clocks and speed factors, and
+// densely in rank order, keeping their clocks, and
 // fault-plan entries are dropped (dead targets) or remapped (survivors).
 // Statistics and fired-fault counters carry over. Panics on out-of-range or
 // duplicate ranks, or if no rank would survive — Shrink models ULFM's
@@ -320,7 +321,6 @@ func (c *Cluster) Shrink(dead []int) {
 	// newRank[old] = dense survivor id, or -1 for dead ranks.
 	newRank := make([]int, p)
 	clocks := make([]float64, 0, p-len(deadSet))
-	speed := make([]float64, 0, p-len(deadSet))
 	for r := 0; r < p; r++ {
 		if deadSet[r] {
 			newRank[r] = -1
@@ -328,10 +328,8 @@ func (c *Cluster) Shrink(dead []int) {
 		}
 		newRank[r] = len(clocks)
 		clocks = append(clocks, c.clocks[r])
-		speed = append(speed, c.speed[r])
 	}
 	c.clocks = clocks
-	c.speed = speed
 	if c.plan != nil {
 		var faults []Fault
 		var fired []bool

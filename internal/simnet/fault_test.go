@@ -173,7 +173,6 @@ func TestShrinkRenumbersAndRemapsFaults(t *testing.T) {
 	for r := 0; r < 5; r++ {
 		c.AddSeconds(r, float64(10*(r+1)))
 	}
-	c.SetComputeSpeed(4, 0.5)
 	if err := c.SetFaultPlan(&FaultPlan{Faults: []Fault{
 		{Kind: FaultCrash, Rank: 1, At: 999}, // dead target: dropped
 		{Kind: FaultCrash, Rank: 4, At: 999}, // survivor: remapped to rank 2
@@ -191,7 +190,7 @@ func TestShrinkRenumbersAndRemapsFaults(t *testing.T) {
 			t.Fatalf("survivor %d clock = %v, want %v", i, got, want)
 		}
 	}
-	// Old rank 4 (slowed to 0.5) is now rank 2; its crash fault moved along.
+	// Old rank 4 is now rank 2; its crash fault moved along.
 	c.AddSeconds(2, 1000)
 	if !c.CrashDue(2) {
 		t.Fatal("remapped crash fault did not fire for renumbered rank")

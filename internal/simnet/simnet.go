@@ -51,7 +51,6 @@ type Cluster struct {
 	mu     sync.Mutex
 	params Params
 	clocks []float64
-	speed  []float64 // per-rank compute speed multiplier (1 = nominal)
 	stats  Stats
 	byTag  map[string]int64
 
@@ -82,30 +81,11 @@ func NewCluster(p int, params Params) *Cluster {
 	if p <= 0 {
 		panic("simnet: cluster needs at least one rank")
 	}
-	speed := make([]float64, p)
-	for i := range speed {
-		speed[i] = 1
-	}
 	return &Cluster{
 		params: params,
 		clocks: make([]float64, p),
-		speed:  speed,
 		byTag:  make(map[string]int64),
 	}
-}
-
-// SetComputeSpeed sets rank's compute throughput relative to nominal
-// (0.5 = half speed). Used for straggler injection: the bulk-synchronous
-// training loop is only as fast as its slowest rank, and the per-epoch
-// clock maxima make that directly observable. Panics on non-positive
-// factors.
-func (c *Cluster) SetComputeSpeed(rank int, factor float64) {
-	if factor <= 0 {
-		panic("simnet: compute speed factor must be positive")
-	}
-	c.mu.Lock()
-	c.speed[rank] = factor
-	c.mu.Unlock()
 }
 
 // P returns the number of ranks.
@@ -114,9 +94,8 @@ func (c *Cluster) P() int { return len(c.clocks) }
 // Params returns the cost model.
 func (c *Cluster) Params() Params { return c.params }
 
-// AddCompute charges flops of computation to rank's clock, scaled by the
-// rank's compute-speed factor and any active transient-slowdown fault
-// window.
+// AddCompute charges flops of computation to rank's clock, scaled by any
+// active transient-slowdown fault window.
 func (c *Cluster) AddCompute(rank int, flops float64) {
 	c.mu.Lock()
 	s := c.effectiveSpeed(rank)

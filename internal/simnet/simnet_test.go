@@ -279,29 +279,6 @@ func TestQuickCollectiveSync(t *testing.T) {
 	}
 }
 
-func TestSetComputeSpeed(t *testing.T) {
-	c := NewCluster(2, Params{Alpha: 0, Beta: 0, FlopRate: 1e9})
-	c.SetComputeSpeed(1, 0.5)
-	c.AddCompute(0, 1e9)
-	c.AddCompute(1, 1e9)
-	if got := c.Time(0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("nominal rank time %v", got)
-	}
-	if got := c.Time(1); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("half-speed rank time %v, want 2", got)
-	}
-}
-
-func TestSetComputeSpeedPanicsOnNonPositive(t *testing.T) {
-	c := NewCluster(1, XC40Params())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.SetComputeSpeed(0, 0)
-}
-
 func TestXferSeconds(t *testing.T) {
 	p := Params{Alpha: 1e-3, Beta: 2e-6, FlopRate: 1}
 	if got := p.XferSeconds(1000); math.Abs(got-(1e-3+2e-3)) > 1e-12 {

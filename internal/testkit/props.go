@@ -242,7 +242,7 @@ func CheckUnbiasedSelection(seed uint64) PropResult {
 		"%d rows unbiased within %.3g SE over %d trials", len(vals), CheckZ, selectTrials)}
 }
 
-// CheckRPInvariants exhaustively verifies both relation partitioners over a
+// CheckRPInvariants exhaustively verifies the relation partitioner over a
 // grid of generated KGs and node counts: (1) no relation spans two ranks,
 // (2) no triple is lost or duplicated, (3) the load balance stays within the
 // provable bound total/p + maxRelationGroup + 1.
@@ -254,13 +254,6 @@ func CheckRPInvariants() PropResult {
 		{Name: "rp-c", Entities: 200, Relations: 40, Triples: 4000, Communities: 10, Seed: 3},
 		// Pathological skew: relations ~ entities, nearly one triple each.
 		{Name: "rp-d", Entities: 80, Relations: 64, Triples: 300, Communities: 5, Seed: 4},
-	}
-	algos := []struct {
-		name string
-		fn   func([]kg.Triple, int, int) [][]kg.Triple
-	}{
-		{"prefix", kg.RelationPartition},
-		{"lpt", kg.RelationPartitionLPT},
 	}
 	cases := 0
 	for _, gc := range grids {
@@ -277,50 +270,48 @@ func CheckRPInvariants() PropResult {
 			want[t]++
 		}
 		for nodes := 1; nodes <= 8; nodes++ {
-			for _, algo := range algos {
-				cases++
-				parts := algo.fn(d.Train, d.NumRelations, nodes)
-				if len(parts) != nodes {
+			cases++
+			parts := kg.RelationPartition(d.Train, d.NumRelations, nodes)
+			if len(parts) != nodes {
+				return PropResult{Name: name, Detail: fmt.Sprintf(
+					"%s p=%d: got %d parts", gc.Name, nodes, len(parts))}
+			}
+			if rel := kg.PartitionRelationsDisjoint(parts); rel >= 0 {
+				return PropResult{Name: name, Detail: fmt.Sprintf(
+					"%s p=%d: relation %d spans two ranks", gc.Name, nodes, rel)}
+			}
+			got := map[kg.Triple]int{}
+			total, maxShard := 0, 0
+			for _, part := range parts {
+				total += len(part)
+				if len(part) > maxShard {
+					maxShard = len(part)
+				}
+				for _, t := range part {
+					got[t]++
+				}
+			}
+			if total != len(d.Train) || len(got) != len(want) {
+				return PropResult{Name: name, Detail: fmt.Sprintf(
+					"%s p=%d: partition holds %d triples (%d distinct), input had %d (%d distinct) — triples lost or duplicated",
+					gc.Name, nodes, total, len(got), len(d.Train), len(want))}
+			}
+			for t, n := range want {
+				if got[t] != n {
 					return PropResult{Name: name, Detail: fmt.Sprintf(
-						"%s/%s p=%d: got %d parts", gc.Name, algo.name, nodes, len(parts))}
+						"%s p=%d: triple %+v count %d, want %d", gc.Name, nodes, t, got[t], n)}
 				}
-				if rel := kg.PartitionRelationsDisjoint(parts); rel >= 0 {
-					return PropResult{Name: name, Detail: fmt.Sprintf(
-						"%s/%s p=%d: relation %d spans two ranks", gc.Name, algo.name, nodes, rel)}
-				}
-				got := map[kg.Triple]int{}
-				total, maxShard := 0, 0
-				for _, part := range parts {
-					total += len(part)
-					if len(part) > maxShard {
-						maxShard = len(part)
-					}
-					for _, t := range part {
-						got[t]++
-					}
-				}
-				if total != len(d.Train) || len(got) != len(want) {
-					return PropResult{Name: name, Detail: fmt.Sprintf(
-						"%s/%s p=%d: partition holds %d triples (%d distinct), input had %d (%d distinct) — triples lost or duplicated",
-						gc.Name, algo.name, nodes, total, len(got), len(d.Train), len(want))}
-				}
-				for t, n := range want {
-					if got[t] != n {
-						return PropResult{Name: name, Detail: fmt.Sprintf(
-							"%s/%s p=%d: triple %+v count %d, want %d", gc.Name, algo.name, nodes, t, got[t], n)}
-					}
-				}
-				bound := len(d.Train)/nodes + maxGroup + 1
-				if maxShard > bound {
-					return PropResult{Name: name, Detail: fmt.Sprintf(
-						"%s/%s p=%d: max shard %d exceeds balance bound total/p + maxGroup + 1 = %d",
-						gc.Name, algo.name, nodes, maxShard, bound)}
-				}
+			}
+			bound := len(d.Train)/nodes + maxGroup + 1
+			if maxShard > bound {
+				return PropResult{Name: name, Detail: fmt.Sprintf(
+					"%s p=%d: max shard %d exceeds balance bound total/p + maxGroup + 1 = %d",
+					gc.Name, nodes, maxShard, bound)}
 			}
 		}
 	}
 	return PropResult{Name: name, OK: true, Detail: fmt.Sprintf(
-		"%d (dataset × nodes × algo) cases: disjoint relations, no lost triples, balance within bound", cases)}
+		"%d (dataset × nodes) cases: disjoint relations, no lost triples, balance within bound", cases)}
 }
 
 // CheckDRSSwitchPermanence trains a short dynamic-strategy run and asserts
