@@ -10,7 +10,7 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # the trainer that drives them) get a dedicated
 # race-detector tier. -short keeps the long end-to-end learning runs out of
 # the ~10-20x race slowdown; unit-level coverage stays on.
-RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/tensor/ ./internal/testkit/
+RACE_PKGS = ./internal/mpi/ ./internal/simnet/ ./internal/ps/ ./internal/core/ ./internal/testkit/
 
 # Packages with kernel micro-benchmarks (ns/op, allocs/op, triples/sec);
 # the top-level package adds the end-to-end paper-table benchmarks.

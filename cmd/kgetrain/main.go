@@ -426,6 +426,9 @@ func validateFlagCombos(explicit map[string]bool, strategy, peers, comm, quant s
 	}
 	if partitioned {
 		var bad []string
+		if comm == "allgather" {
+			bad = append(bad, "-comm allgather (the row exchange is the mode's only collective)")
+		}
 		if comm == "dynamic" {
 			bad = append(bad, "-comm dynamic (the row exchange has no dense all-reduce to switch away from)")
 		}

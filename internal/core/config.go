@@ -131,8 +131,8 @@ type Config struct {
 	// scale-out scheme grafted onto this trainer). Memory per rank then
 	// shrinks with the world size instead of replicating the full table.
 	// Mutually exclusive with RelationPartition, quantization, error
-	// feedback, the dynamic comm probe and TrackEpochStats — the row
-	// exchange is its own communication mode.
+	// feedback, every Comm but the default CommAllReduce, and
+	// TrackEpochStats — the row exchange is its own communication mode.
 	Partitioned bool
 	// PartitionBy selects the row partitioner for Partitioned mode: "mincut"
 	// (greedy min-cut over the triple hypergraph; default) or "hash" (seeded
@@ -323,6 +323,8 @@ func (c Config) validatePartitioned() error {
 	switch {
 	case c.RelationPartition:
 		conflict = "RelationPartition (the joint partition already assigns every relation row an owner)"
+	case c.Comm == CommAllGather:
+		conflict = "all-gather comm (the row exchange is the mode's only collective)"
 	case c.Comm == CommDynamic:
 		conflict = "dynamic comm (the probe arbitrates all-reduce vs all-gather of replicated gradients)"
 	case c.Comm == CommDynamicCompress:

@@ -72,6 +72,10 @@ type exchanger struct {
 	statsBuf   [grad.CtrlStatsLen]float32
 	selBefore  int // ladder-RS selection tallies for EpochStats.Sparsity,
 	selDropped int // accumulated per batch, drained at the epoch boundary
+
+	// rows is the rank's shard under Partitioned, whose "rowexchange" mode
+	// pushes gradient rows to their owners; nil for replicas.
+	rows *shard
 }
 
 func newExchanger(cfg *Config, comm *mpi.Comm, width, numEnt, numRel int, rng *xrand.RNG) *exchanger {
@@ -250,14 +254,20 @@ func (x *exchanger) advanceCompression() (probe grad.EpochProbe, selBefore, selD
 }
 
 // exchange aggregates the entity and relation gradients under the given
-// mode ("allreduce", "allgather" or "dyncomp"). Under relation partition the
-// relation gradient is returned as-is: rank-local, full precision, zero
-// cost. The returned aggregates alias exchanger-owned scratch (or relG
-// itself) and are valid only until the next exchange call.
+// mode ("allreduce", "allgather", "dyncomp" or "rowexchange"). Under
+// relation partition the relation gradient is returned as-is: rank-local,
+// full precision, zero cost. Under "rowexchange" entG is the shard's
+// unified-id gradient, already staged for the push, and entAgg the
+// aggregate of the rows the shard owns; relAgg is nil. The returned
+// aggregates alias exchanger- or shard-owned scratch (or relG itself) and
+// are valid only until the next exchange call.
 //
 //kgelint:hotpath
 func (x *exchanger) exchange(entG, relG *grad.SparseGrad, mode string) (entAgg, relAgg *grad.SparseGrad, cost float64, err error) {
 	switch mode {
+	case "rowexchange":
+		entAgg, cost, err = x.rows.push(entG)
+		return entAgg, nil, cost, err
 	case "allreduce":
 		entAgg, cost, err = x.allReduce(entG, x.entAgg, x.numEnt, &x.entBuf, tagEntity)
 	case "allgather":

@@ -24,6 +24,7 @@ func TestPartitionedValidateRejectsConflicts(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"relation partition", func(c *Config) { c.RelationPartition = true }},
+		{"allgather comm", func(c *Config) { c.Comm = CommAllGather }},
 		{"dynamic comm", func(c *Config) { c.Comm = CommDynamic }},
 		{"quantization", func(c *Config) { c.Quant = grad.OneBitMax }},
 		{"error feedback", func(c *Config) { c.ErrorFeedback = true }},
