@@ -147,6 +147,7 @@ type wireFrame struct {
 	typ     byte
 	m       transport.Message
 	payload []byte
+	last    bool // the writer half-closes the link after this frame
 }
 
 // Endpoint is one process's handle on the TCP fabric for one membership
@@ -171,6 +172,7 @@ type Endpoint struct {
 	barrier uint64                   // local barrier epoch (collective loop only)
 	done    chan struct{}            // closed by teardown
 	closed  atomic.Bool
+	final   atomic.Bool // set by Close: writers flush queued data before the bye
 	wg      sync.WaitGroup
 
 	// deadMask accumulates the original ranks dead across every generation
@@ -178,8 +180,15 @@ type Endpoint struct {
 	// diverged membership views.
 	deadMask uint64
 
+	// regCh/helloCh carry this generation's handshakes to establish. They
+	// exist from construction, so a handshake that reaches the predecessor
+	// after Shrink can be routed here before establish starts.
+	regCh   chan registration
+	helloCh chan helloConn
+
 	pendMu  sync.Mutex
-	pending []pendingConn // next-generation handshakes that arrived early
+	pending []pendingConn     // next-generation handshakes that arrived early
+	forward func(pendingConn) // set by Shrink: where later early arrivals go
 }
 
 // barToken is one dissemination-barrier arrival notice.
@@ -202,6 +211,7 @@ type peerConn struct {
 
 	closeOnce sync.Once
 	departed  atomic.Bool // peer sent ftBye: clean shutdown, not a failure
+	condemned atomic.Bool // peer declared dead: told so, then drained
 	stalled   atomic.Bool // Inject(FaultStall): writer pauses, heartbeats stop
 	corrupt   atomic.Bool // Inject(FaultCorrupt): damage the next data frame
 }
@@ -263,6 +273,8 @@ func newEndpoint(opt Options, host *listenHost, met *transport.Metrics, gen uint
 		hostOwner: true,
 		met:       met,
 		done:      make(chan struct{}),
+		regCh:     make(chan registration, maxWorldSize),
+		helloCh:   make(chan helloConn, maxWorldSize),
 	}
 	e.fs = transport.NewFailureState(nil)
 	return e
@@ -359,7 +371,7 @@ func (e *Endpoint) Rendezvous(onLast func()) error {
 		select {
 		case got := <-e.barCh[src]:
 			if got.epoch != epoch || got.round != round {
-				e.failDense(src, fmt.Sprintf("barrier skew: got epoch %d round %d, want %d/%d",
+				e.failDense(src, false, fmt.Sprintf("barrier skew: got epoch %d round %d, want %d/%d",
 					got.epoch, got.round, epoch, round))
 				return e.abortErr()
 			}
@@ -384,26 +396,37 @@ func (e *Endpoint) FailRank(rank int) {
 	if rank < 0 || rank >= e.size {
 		return
 	}
-	e.failDense(rank, "declared failed")
+	e.failDense(rank, true, "declared failed")
 }
 
-func (e *Endpoint) failDense(rank int, cause string) {
+// failDense records a dense rank dead and spreads the verdict. declared
+// marks this process's own decision (FailRank) rather than an observation
+// of a broken link or a peer's report: only then is the peer itself told.
+func (e *Endpoint) failDense(rank int, declared bool, cause string) {
 	if !e.fs.Fail(rank) {
 		return
 	}
 	e.met.IncRankFailure()
 	e.opt.logf("tcptransport: rank %d (orig %d) gen %d: peer rank %d (orig %d) failed: %s",
 		e.rank, e.orig, e.gen, rank, e.live[rank], cause)
+	mask := uint64(1) << uint(e.live[rank])
+	frame := binary.LittleEndian.AppendUint64(nil, mask)
+	// A process its peers declared dead is out of the job: the links it
+	// loses from then on are those peers cutting it off, not evidence
+	// against them, so it records them and tells no one. Spreading them
+	// would make the survivors fail each other.
+	excluded := rank != e.rank && e.isFailed(e.rank)
 	if rank != e.rank {
-		if pc := e.conns[rank]; pc != nil {
+		if pc := e.conns[rank]; pc != nil && (excluded || !declared || !pc.condemn(frame)) {
 			// Unblock its reader/writer promptly; the conn is useless now.
 			pc.close()
 		}
 	}
+	if excluded {
+		return
+	}
 	// Best-effort broadcast; a full control queue or dead writer just means
 	// that peer learns through its own detector (or the Shrink regroup).
-	mask := uint64(1) << uint(e.live[rank])
-	frame := binary.LittleEndian.AppendUint64(nil, mask)
 	for d, pc := range e.conns {
 		if pc == nil || d == rank {
 			continue
@@ -412,6 +435,47 @@ func (e *Endpoint) failDense(rank int, cause string) {
 		case pc.ctrl <- wireFrame{typ: ftRegroup, payload: frame}:
 		default:
 		}
+	}
+}
+
+// isFailed reports whether dense rank r is known dead.
+func (e *Endpoint) isFailed(r int) bool {
+	for _, d := range e.fs.Failed() {
+		if d == r {
+			return true
+		}
+	}
+	return false
+}
+
+// condemn tells a peer this process declared dead that it is: the regroup
+// naming it goes out on its own link, the writer half-closes after it, and
+// the reader only drains from then on. A live peer thus reads its exclusion
+// before our FIN and aborts itself, instead of reading the FIN as our death
+// and reporting that to the others. Both directions get drainTimeout, so a
+// hung peer cannot hold the link open. Reports false when the control queue
+// is full; the caller then closes outright.
+func (pc *peerConn) condemn(frame []byte) bool {
+	pc.condemned.Store(true)
+	select {
+	case pc.ctrl <- wireFrame{typ: ftRegroup, payload: frame, last: true}:
+	default:
+		return false
+	}
+	now := time.Now()
+	_ = pc.c.SetWriteDeadline(now.Add(drainTimeout))
+	_ = pc.c.SetReadDeadline(now.Add(drainTimeout))
+	return true
+}
+
+// halfClose ends our sending side only, so the peer's in-flight frames still
+// land here (a full close would answer them with an RST that can destroy
+// frames the peer has not read yet).
+func (pc *peerConn) halfClose() {
+	if cw, ok := pc.c.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	} else {
+		pc.close()
 	}
 }
 
@@ -432,6 +496,7 @@ func (e *Endpoint) abortErr() error {
 // they observe a departure, not a failure), connections close, goroutines
 // drain, and the listener is released. Idempotent.
 func (e *Endpoint) Close() error {
+	e.final.Store(true)
 	e.teardown(true)
 	return nil
 }
@@ -473,7 +538,7 @@ func (pc *peerConn) fail(cause string) {
 	if pc.departed.Load() || pc.ep.closed.Load() {
 		return
 	}
-	pc.ep.failDense(pc.dense, cause)
+	pc.ep.failDense(pc.dense, false, cause)
 }
 
 // writeLoop owns the connection's outbound half: it drains the control
@@ -496,6 +561,11 @@ func (pc *peerConn) writeLoop() {
 			corrupt = pc.corrupt.CompareAndSwap(true, false)
 		}
 		_ = pc.c.SetWriteDeadline(time.Now().Add(2 * opt.HeartbeatTimeout))
+		if pc.condemned.Load() {
+			// Checked after the store above: condemn's shorter deadline
+			// always wins.
+			_ = pc.c.SetWriteDeadline(time.Now().Add(drainTimeout))
+		}
 		n, err := writeFrame(pc.c, f.typ, payload, corrupt)
 		if err != nil {
 			pc.fail(fmt.Sprintf("write to orig %d: %v", pc.orig, err))
@@ -522,12 +592,20 @@ func (pc *peerConn) writeLoop() {
 			if !write(f) {
 				return
 			}
+			if f.last {
+				pc.halfClose()
+				return
+			}
 			continue
 		default:
 		}
 		select {
 		case f := <-pc.ctrl:
 			if !write(f) {
+				return
+			}
+			if f.last {
+				pc.halfClose()
 				return
 			}
 		case f := <-pc.data:
@@ -541,31 +619,44 @@ func (pc *peerConn) writeLoop() {
 			}
 		case <-pc.ep.done:
 			// Drain pending control frames (a Shrink's regroup broadcast
-			// must reach the wire), then depart cleanly.
+			// must reach the wire) and, on Close, the data Send already
+			// accepted — a collective's last message or barrier token can
+			// still be queued when its sender finishes, and the peer would
+			// wait for it forever behind our bye. Then depart cleanly.
 			for {
 				select {
 				case f := <-pc.ctrl:
 					if !write(f) {
 						return
 					}
-				default:
-					_ = pc.c.SetWriteDeadline(time.Now().Add(time.Second))
-					_, _ = writeFrame(pc.c, ftBye, nil, false)
-					if cw, ok := pc.c.(interface{ CloseWrite() error }); ok {
-						// Half-close only: a full close here would make the
-						// kernel answer the peer's next in-flight frame with
-						// an RST, destroying the regroup and bye still
-						// sitting unread in the peer's receive buffer — the
-						// peer would then misread this clean departure as a
-						// crash. The FIN says "done sending" while the
-						// socket keeps absorbing the peer's frames; the
-						// read loop drains and closes for real.
-						_ = cw.CloseWrite()
-					} else {
-						pc.close()
+					if f.last {
+						pc.halfClose()
+						return
 					}
-					return
+					continue
+				default:
 				}
+				if pc.ep.final.Load() {
+					select {
+					case f := <-pc.data:
+						if !write(f) {
+							return
+						}
+						continue
+					default:
+					}
+				}
+				_ = pc.c.SetWriteDeadline(time.Now().Add(time.Second))
+				_, _ = writeFrame(pc.c, ftBye, nil, false)
+				// Half-close only: a full close here would make the kernel
+				// answer the peer's next in-flight frame with an RST,
+				// destroying the regroup and bye still sitting unread in
+				// the peer's receive buffer — the peer would then misread
+				// this clean departure as a crash. The FIN says "done
+				// sending" while the socket keeps absorbing the peer's
+				// frames; the read loop drains and closes for real.
+				pc.halfClose()
+				return
 			}
 		}
 	}
@@ -579,25 +670,29 @@ func (pc *peerConn) readLoop() {
 	defer pc.ep.wg.Done()
 	e := pc.ep
 	draining := false
+	// drain switches to the shutdown drain: the write loop half-closed the
+	// socket (on Close, or after telling a condemned peer), so the peer's
+	// in-flight frames keep landing here instead of provoking an RST that
+	// would destroy our unread bye or regroup on the peer's side. Absorb
+	// them for a bounded window (until the peer's own bye or FIN, at the
+	// latest drainTimeout), then close for real. Nothing a condemned peer
+	// sends is acted on.
+	drain := func() bool {
+		if !draining && (e.closed.Load() || pc.condemned.Load()) {
+			draining = true
+			_ = pc.c.SetReadDeadline(time.Now().Add(drainTimeout))
+		}
+		return draining
+	}
 	for {
-		if e.closed.Load() {
-			if !draining {
-				// Shutdown drain: the write loop half-closed the socket, so
-				// the peer's in-flight frames keep landing here instead of
-				// provoking an RST that would destroy our unread bye on the
-				// peer's side. Absorb them for a bounded window (until the
-				// peer's own bye or FIN, at the latest drainTimeout), then
-				// close for real.
-				draining = true
-				_ = pc.c.SetReadDeadline(time.Now().Add(drainTimeout))
-			}
-		} else {
+		if !drain() {
 			_ = pc.c.SetReadDeadline(time.Now().Add(e.opt.HeartbeatTimeout))
+			drain() // after the store above, so a racing condemn's deadline wins
 		}
 		typ, payload, wire, err := readFrame(pc.br)
 		if err != nil {
 			switch {
-			case pc.departed.Load() || e.closed.Load():
+			case pc.departed.Load() || e.closed.Load() || pc.condemned.Load():
 			case err == errCRC:
 				e.met.IncCRCError()
 				pc.fail("corrupt frame (checksum mismatch)")
@@ -611,7 +706,7 @@ func (pc *peerConn) readLoop() {
 			return
 		}
 		e.met.AddRecv(wire)
-		if draining {
+		if drain() {
 			if typ == ftBye {
 				pc.departed.Store(true)
 				pc.close()
@@ -683,7 +778,7 @@ func (pc *peerConn) readLoop() {
 func (e *Endpoint) applyDeadMask(mask uint64, cause string) {
 	for dense, orig := range e.live {
 		if mask&(1<<uint(orig)) != 0 {
-			e.failDense(dense, cause)
+			e.failDense(dense, false, cause)
 		}
 	}
 }

@@ -64,6 +64,7 @@ type listenHost struct {
 	ln     net.Listener
 	mu     sync.Mutex
 	sink   func(net.Conn)
+	held   []net.Conn // accepted while no sink was installed
 	closed atomic.Bool
 }
 
@@ -103,26 +104,46 @@ func (h *listenHost) acceptLoop() {
 		}
 		h.mu.Lock()
 		sink := h.sink
-		h.mu.Unlock()
-		if sink == nil {
-			// Between generations: drop the conn; dialers retry with
-			// backoff until the successor endpoint installs its sink.
+		switch {
+		case sink != nil:
+		case h.closed.Load():
 			_ = c.Close()
-			continue
+		default:
+			// Before the first generation's establish, or between
+			// generations: hold the conn for the next sink rather than
+			// make the dialer retry.
+			h.held = append(h.held, c)
 		}
-		go sink(c)
+		h.mu.Unlock()
+		if sink != nil {
+			go sink(c)
+		}
 	}
 }
 
 func (h *listenHost) setSink(sink func(net.Conn)) {
 	h.mu.Lock()
 	h.sink = sink
+	var held []net.Conn
+	if sink != nil {
+		held, h.held = h.held, nil
+	}
 	h.mu.Unlock()
+	for _, c := range held {
+		go sink(c)
+	}
 }
 
 func (h *listenHost) close() {
 	if h.closed.CompareAndSwap(false, true) {
 		_ = h.ln.Close()
+		h.mu.Lock()
+		held := h.held
+		h.held = nil
+		h.mu.Unlock()
+		for _, c := range held {
+			_ = c.Close()
+		}
 	}
 }
 
@@ -315,22 +336,36 @@ func (e *Endpoint) routeFrame(rc rawConn, typ byte, payload []byte, regCh chan r
 	}
 }
 
+// park stashes a next-generation handshake for the successor. Once Shrink
+// has handed the parked set over, it routes straight to the successor
+// instead: an accept goroutine that read its frame under this endpoint's
+// sink can finish after the hand-over, and parking it here would strand
+// the registrant until its deadline.
 func (e *Endpoint) park(p pendingConn) {
 	e.pendMu.Lock()
-	e.pending = append(e.pending, p)
+	fwd := e.forward
+	if fwd == nil {
+		e.pending = append(e.pending, p)
+	}
 	e.pendMu.Unlock()
+	if fwd != nil {
+		fwd(p)
+	}
 }
 
-func (e *Endpoint) takePending() []*pendingConn {
+// handOff returns the parked handshakes and sends every later one to succ.
+func (e *Endpoint) handOff(succ *Endpoint) []pendingConn {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
-	out := make([]*pendingConn, 0, len(e.pending))
-	for i := range e.pending {
-		p := e.pending[i]
-		out = append(out, &p)
-	}
+	pend := e.pending
 	e.pending = nil
-	return out
+	e.forward = succ.routeParked
+	return pend
+}
+
+// routeParked routes a handshake the predecessor generation accepted.
+func (e *Endpoint) routeParked(p pendingConn) {
+	go e.routeFrame(p.rc, p.typ, p.payload, e.regCh, e.helloCh)
 }
 
 // establish runs the rendezvous + mesh for this endpoint's generation:
@@ -338,12 +373,11 @@ func (e *Endpoint) takePending() []*pendingConn {
 // mesh dials, connection adoption and the initial barrier. The whole
 // sequence is bounded by deadline. inherited carries handshakes that
 // arrived at the previous generation's listener early.
-func (e *Endpoint) establish(deadline time.Time, inherited []*pendingConn) error {
-	regCh := make(chan registration, maxWorldSize)
-	helloCh := make(chan helloConn, maxWorldSize)
+func (e *Endpoint) establish(deadline time.Time, inherited []pendingConn) error {
+	regCh, helloCh := e.regCh, e.helloCh
 	e.host.setSink(func(c net.Conn) { e.routeInbound(c, regCh, helloCh) })
 	for _, p := range inherited {
-		go e.routeFrame(p.rc, p.typ, p.payload, regCh, helloCh)
+		e.routeParked(p)
 	}
 
 	conns := make(map[int]rawConn) // by original rank
@@ -661,12 +695,12 @@ func (e *Endpoint) Shrink(dead []int) (transport.Endpoint, error) {
 		}
 	}
 	e.host.setSink(nil)
-	pend := e.takePending()
+	succ := newEndpoint(e.opt, e.host, e.met, e.gen+1, e.orig, newLive)
+	succ.deadMask = e.deadMask | deadOrigMask
+	pend := e.handOff(succ)
 	e.teardown(false)
 	e.hostOwner = false
 
-	succ := newEndpoint(e.opt, e.host, e.met, e.gen+1, e.orig, newLive)
-	succ.deadMask = e.deadMask | deadOrigMask
 	deadline := time.Now().Add(e.opt.ConnectDeadline)
 	if err := succ.establish(deadline, pend); err != nil {
 		e.host.close()
