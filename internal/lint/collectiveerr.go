@@ -81,17 +81,23 @@ func runCollectiveErr(pass *Pass) error {
 // method (or returns no error).
 func collectiveErrIndex(pass *Pass, call *ast.CallExpr) int {
 	f := calleeFunc(pass, call)
-	if f == nil {
-		return -1
-	}
 	if !isMethodOn(f, "internal/mpi", "Comm") && !isMethodOn(f, "internal/mpi", "World") {
 		return -1
 	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return -1
-	}
-	res := sig.Results()
+	return errResultIndex(f)
+}
+
+// isCollective reports whether f is an mpi collective: an exported method on
+// internal/mpi's Comm with an error result. Every such method ends in a
+// full-world rendezvous (its error is how a dead rank surfaces), so the
+// signature defines the set and no list has to track the mpi package.
+func isCollective(f *types.Func) bool {
+	return f != nil && f.Exported() && isMethodOn(f, "internal/mpi", "Comm") && errResultIndex(f) >= 0
+}
+
+// errResultIndex returns the result-tuple index of f's error result, or -1.
+func errResultIndex(f *types.Func) int {
+	res := f.Type().(*types.Signature).Results()
 	for i := 0; i < res.Len(); i++ {
 		if isErrorType(res.At(i).Type()) {
 			return i

@@ -1,13 +1,14 @@
 package lint
 
 // divergentcollective catches the classic MPI deadlock: a collective call
-// (AllReduceSum, AllGatherRows, Broadcast, ...) that only some ranks reach
+// (AllReduceSum, AllGatherRows, Barrier, ...) that only some ranks reach
 // because control flow branched on rank-local data. internal/mpi's
 // collectives all end in a full-world rendezvous, so a single diverging rank
 // hangs every other rank forever — in CI that used to mean a 10-minute
 // timeout with no diagnostic. The analyzer flags collective calls that are
 // (a) lexically inside a conditional whose condition depends on the rank, or
-// (b) downstream of a rank-dependent early exit in the same block.
+// (b) downstream of a rank-dependent early exit in the same block. The
+// collective set is derived, not listed: see isCollective.
 //
 // The mpi package itself is exempt: the collective *implementations*
 // legitimately branch on rank (tree and ring algorithms) under the cover of
@@ -26,21 +27,6 @@ var DivergentCollective = &Analyzer{
 	Doc: "flag mpi collective calls inside conditionals or after early exits " +
 		"that depend on rank-local data (divergent-collective deadlock)",
 	Run: runDivergentCollective,
-}
-
-// collectiveNames is the full collective surface of internal/mpi. Keep in
-// sync with the Comm methods that end in a rendezvous.
-var collectiveNames = map[string]bool{
-	"Barrier":          true,
-	"Broadcast":        true,
-	"AllReduceSum":     true,
-	"AllReduceSumRD":   true,
-	"AllGatherRows":    true,
-	"AllGatherBytes":   true,
-	"AllReduceScalar":  true,
-	"ReduceScatterSum": true,
-	"Gather":           true,
-	"Scatter":          true,
 }
 
 func runDivergentCollective(pass *Pass) error {
@@ -235,7 +221,7 @@ func (w *dcWalker) reportIfCollective(call *ast.CallExpr, divergent bool) {
 		return
 	}
 	f := calleeFunc(w.pass, call)
-	if f == nil || !collectiveNames[f.Name()] || !isMethodOn(f, "internal/mpi", "Comm") {
+	if !isCollective(f) {
 		return
 	}
 	w.pass.Reportf(call.Pos(),

@@ -16,7 +16,7 @@ import (
 func TestJSONSchema(t *testing.T) {
 	diags := []Diagnostic{{
 		Analyzer: "pooluse",
-		Pos:      token.Position{Filename: "internal/mpi/algos.go", Line: 42, Column: 7},
+		Pos:      token.Position{Filename: "internal/mpi/mpi.go", Line: 42, Column: 7},
 		Message:  "double Put of pooled buffer",
 	}}
 	var buf bytes.Buffer
@@ -25,7 +25,7 @@ func TestJSONSchema(t *testing.T) {
 	}
 	want := `[
   {
-    "file": "internal/mpi/algos.go",
+    "file": "internal/mpi/mpi.go",
     "line": 42,
     "col": 7,
     "analyzer": "pooluse",

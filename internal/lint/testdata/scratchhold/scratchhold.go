@@ -1,31 +1,28 @@
 // Package scratchhold exercises the scratchhold analyzer: borrowed
-// *model.Scratch / *grad.Encoded / //kgelint:scratch-tagged parameters may
-// be read, written and passed on, but never retained past return.
+// *grad.Encoded and //kgelint:scratch-tagged parameters may be read,
+// written and passed on, but never retained past return.
 package scratchhold
 
-import (
-	"kgedist/internal/grad"
-	"kgedist/internal/model"
-)
+import "kgedist/internal/grad"
 
 type worker struct {
-	ws  *model.Scratch
-	enc *grad.Encoded
-	buf []float32
+	held *grad.Encoded
+	enc  *grad.Encoded
+	buf  []float32
 }
 
-var lastScratch *model.Scratch
+var lastEnc *grad.Encoded
 
 var registry = map[int]*grad.Encoded{}
 
 // --- violations ---
 
-func retainGlobal(ws *model.Scratch) {
-	lastScratch = ws // want "package-level variable lastScratch"
+func retainGlobal(enc *grad.Encoded) {
+	lastEnc = enc // want "package-level variable lastEnc"
 }
 
-func (w *worker) retainField(ws *model.Scratch) {
-	w.ws = ws // want "stored in field w.ws"
+func (w *worker) retainField(enc *grad.Encoded) {
+	w.held = enc // want "stored in field w.held"
 }
 
 // retainAlias launders the parameter through a local first.
@@ -44,17 +41,18 @@ func retainElement(enc *grad.Encoded, id int) {
 	registry[id] = enc // want "stored in element registry"
 }
 
-func publish(ch chan *model.Scratch, ws *model.Scratch) {
-	ch <- ws // want "sent over a channel"
+func publish(ch chan *grad.Encoded, enc *grad.Encoded) {
+	ch <- enc // want "sent over a channel"
 }
 
-func spawnArg(ws *model.Scratch) {
-	go consume(ws) // want "handed to a goroutine"
+func spawnArg(enc *grad.Encoded) {
+	go consume(enc) // want "handed to a goroutine"
 }
 
-func spawnCapture(ws *model.Scratch) {
+//kgelint:scratch out
+func spawnCapture(out []float32) {
 	go func() {
-		ws.ZeroGrads() // want "captured by a goroutine closure"
+		fill(out) // want "captured by a goroutine closure"
 	}()
 }
 
@@ -76,12 +74,12 @@ func (w *worker) retainTail(tmp []float32) {
 
 // --- clean code: none of the below may fire ---
 
-func consume(ws *model.Scratch) { ws.ZeroGrads() }
+func consume(enc *grad.Encoded) { enc.Scales = enc.Scales[:0] }
 
 // passThrough returns the borrow to its owner — legal.
-func passThrough(ws *model.Scratch) *model.Scratch {
-	ws.ZeroGrads()
-	return ws
+func passThrough(enc *grad.Encoded) *grad.Encoded {
+	consume(enc)
+	return enc
 }
 
 // use reads through local aliases without retaining anything.
@@ -117,6 +115,9 @@ func encodeInto(e *grad.Encoded, vals []float32) {
 }
 
 // delegate passes the borrow down the call chain — callees borrow too.
-func delegate(ws *model.Scratch) {
-	consume(ws)
+//
+//kgelint:scratch tmp
+func delegate(enc *grad.Encoded, tmp []float32) {
+	consume(enc)
+	fill(tmp)
 }

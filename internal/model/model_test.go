@@ -367,3 +367,26 @@ func BenchmarkComplExGrad(b *testing.B) {
 		m.AccumulateScoreGrad(p, tr, 0.1, gh, gr, gt)
 	}
 }
+
+// Scoring a triple from snapshot rows and accumulating its gradient must
+// not allocate — it is a per-triple inner loop (asserted with
+// testing.AllocsPerRun).
+func TestScoreGradRowsAllocFree(t *testing.T) {
+	for _, name := range []string{"complex", "distmult", "transe", "rotate", "transh", "simple"} {
+		m := New(name, 16)
+		p := testParams(m, 50, 6, 7)
+		w := m.Width()
+		h, r, tl := make([]float32, w), make([]float32, w), make([]float32, w)
+		gh, gr, gt := make([]float32, w), make([]float32, w), make([]float32, w)
+		allocs := testing.AllocsPerRun(100, func() {
+			copy(h, p.Entity.Row(3))
+			copy(r, p.Relation.Row(1))
+			copy(tl, p.Entity.Row(40))
+			sc := m.ScoreRows(h, r, tl)
+			m.AccumulateScoreGradRows(h, r, tl, sc, gh, gr, gt)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: score+grad sweep allocates %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}

@@ -1,19 +1,21 @@
 // Package mpi implements the message-passing substrate the paper obtains
 // from Horovod/MPI: a fixed world of ranks with synchronous collectives.
 //
-// The collectives are the textbook algorithms (ring reduce-scatter +
-// all-gather for AllReduceSum, ring block rotation for the variable-size
-// all-gathers, binomial trees for broadcast and scalar reductions), written
-// against the transport.Endpoint interface so the same code runs over two
-// fabrics: the in-process channel backend (internal/transport/chantransport
-// — each rank a goroutine, the deterministic simulation substrate) and the
-// multi-process TCP backend (internal/transport/tcptransport — each rank a
-// real OS process surviving real connection failures). Timing is charged to
-// the attached simnet.Cluster using the standard cost formula for each
-// algorithm, with the exact byte volume the operation moved. Every
-// collective returns the virtual seconds it cost, which the dynamic
-// selection strategy (paper §4.1) uses to compare all-reduce against
-// all-gather probes.
+// The collectives are the ones the paper's runs use plus two the trainer
+// adds: ring all-reduce (AllReduceSum, reduce-scatter + all-gather), ring
+// block rotation for the variable-size all-gathers (AllGatherRows,
+// AllGatherBytes), the compressed-hop reduce-scatter (ReduceScatterEncoded),
+// a binomial reduce-and-broadcast tree for scalars (AllReduceScalar) and a
+// Barrier. They are written against the transport.Endpoint interface so the
+// same code runs over two fabrics: the in-process channel backend
+// (internal/transport/chantransport — each rank a goroutine, the
+// deterministic simulation substrate) and the multi-process TCP backend
+// (internal/transport/tcptransport — each rank a real OS process surviving
+// real connection failures). Timing is charged to the attached
+// simnet.Cluster using the standard cost formula for each algorithm, with
+// the exact byte volume the operation moved. Every collective returns the
+// virtual seconds it cost, which the dynamic selection strategy (paper
+// §4.1) uses to compare all-reduce against all-gather probes.
 //
 // All collectives are globally synchronizing: they end with a rendezvous so
 // per-rank virtual clocks are identical on return, matching the
@@ -28,12 +30,11 @@
 // # Buffer ownership
 //
 // Two disciplines keep the hot path allocation-free without data races
-// (DESIGN.md §10). Point-to-point staging copies inside the dense
-// collectives (AllReduceSum, ReduceScatterSum, Broadcast, AllReduceSumRD)
-// are recycled through internal/pool: the sender gets a buffer, exactly one
-// receiver consumes it and puts it back. All-gather payloads
-// (AllGatherRows, AllGatherBytes, Gather, Scatter) are the opposite: the
-// ring rotation shares one backing array with every rank, so the payload
+// (DESIGN.md §10). Point-to-point staging copies inside AllReduceSum and
+// ReduceScatterEncoded are recycled through internal/pool: the sender gets a
+// buffer, exactly one receiver consumes it and puts it back. All-gather
+// payloads (AllGatherRows, AllGatherBytes) are the opposite: the ring
+// rotation shares one backing array with every rank, so the payload
 // ownership transfers to the world — callers must pass freshly allocated
 // slices and treat the returned ones as immutable. (The TCP backend
 // serializes payloads onto the wire, so received slices there are always
@@ -299,8 +300,9 @@ func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
 		// Without this the makespan (and everything derived from it, like
 		// per-epoch virtual seconds) silently drops every remote rank's
 		// compute time. The channel world needs nothing: all ranks charge
-		// one shared cluster.
-		g, err := c.maxClock()
+		// one shared cluster. The max-reduce is bookkeeping and charges no
+		// virtual time.
+		g, err := c.scalarTree(c.w.cluster.Time(c.rank), OpMax)
 		if err != nil {
 			if ferr := c.w.err(); ferr != nil {
 				return ferr
@@ -325,46 +327,40 @@ func (c *Comm) finish(cost float64, moved, msgs int64, tag string) error {
 	return nil
 }
 
-// maxClock agrees on the cluster-wide virtual-clock maximum across the
-// processes of a process world: a binomial max-reduce of each process's own
-// rank clock to rank 0, then a binomial broadcast back. It runs inside a
-// collective (after enter, before finish's rendezvous), reusing the
-// collective's sequence number; the exchange itself is bookkeeping and
-// charges no virtual time.
-func (c *Comm) maxClock() (float64, error) {
-	result := c.w.cluster.Time(c.rank)
-	p := c.w.p
-	if p == 1 {
-		return result, nil
-	}
-	vr := c.rank
+// scalarTree reduces v with op across all ranks — a binomial reduce to rank
+// 0, then a binomial broadcast back — and returns the result on every rank.
+// It runs inside an open collective (after enter, before finish), reusing
+// that collective's sequence number, and charges nothing itself: the
+// caller decides what the exchange costs.
+func (c *Comm) scalarTree(v float64, op ReduceOp) (float64, error) {
+	p, r := c.w.p, c.rank
+	result := v
 	for k := 1; k < p; k <<= 1 {
-		if vr&k != 0 {
-			if err := c.send(vr^k, message{F64: result}); err != nil {
+		if r&k != 0 {
+			if err := c.send(r^k, message{F64: result}); err != nil {
 				return 0, err
 			}
 			break
-		} else if vr|k < p {
-			m, err := c.recv(vr | k)
+		} else if r|k < p {
+			m, err := c.recv(r | k)
 			if err != nil {
 				return 0, err
 			}
-			if m.F64 > result {
-				result = m.F64
-			}
+			result = op.apply(result, m.F64)
 		}
 	}
-	received := c.rank == 0
+	// In round k, ranks below k forward to r+k; ranks in [k, 2k) receive.
+	received := r == 0
 	for k := 1; k < 2*p; k <<= 1 {
-		if c.rank < k && c.rank+k < p {
+		if r < k && r+k < p {
 			if !received {
-				panic("mpi: clock broadcast order violated")
+				panic("mpi: scalar broadcast order violated")
 			}
-			if err := c.send(c.rank+k, message{F64: result}); err != nil {
+			if err := c.send(r+k, message{F64: result}); err != nil {
 				return 0, err
 			}
-		} else if c.rank >= k && c.rank < 2*k {
-			m, err := c.recv(c.rank - k)
+		} else if r >= k && r < 2*k {
+			m, err := c.recv(r - k)
 			if err != nil {
 				return 0, err
 			}
@@ -382,53 +378,6 @@ func (c *Comm) Barrier() error {
 	}
 	cost, moved, msgs := c.w.cluster.BarrierCost()
 	return c.finish(cost, moved, msgs, "barrier")
-}
-
-// Broadcast sends root's buf to every rank's buf via a binomial tree.
-// Returns the virtual cost of the operation. buf is caller-owned and fully
-// overwritten on non-root ranks; staging copies travel through the pool
-// (sender gets, the single receiver consumes and puts), so the steady-state
-// exchange allocates nothing.
-//
-//kgelint:hotpath
-func (c *Comm) Broadcast(buf []float32, root int) (float64, error) {
-	if err := c.enter(); err != nil {
-		return 0, err
-	}
-	p := c.w.p
-	cost, moved, msgs := c.w.cluster.BroadcastCost(int64(4 * len(buf)))
-	if p > 1 {
-		// Rotate ranks so the root is virtual rank 0.
-		vr := (c.rank - root + p) % p
-		// Binomial tree: in round k, ranks with vr < 2^k send to vr + 2^k.
-		received := vr == 0
-		for k := 1; k < 2*p; k <<= 1 {
-			if vr < k && vr+k < p {
-				if !received {
-					panic("mpi: broadcast tree order violated")
-				}
-				dst := (vr + k + root) % p
-				out := pool.GetF32Uninit(len(buf))
-				copy(out, buf)
-				if err := c.send(dst, message{F32: out}); err != nil {
-					return 0, err
-				}
-			} else if vr >= k && vr < 2*k {
-				src := (vr - k + root) % p
-				m, err := c.recv(src)
-				if err != nil {
-					return 0, err
-				}
-				copy(buf, m.F32)
-				pool.PutF32(m.F32)
-				received = true
-			}
-		}
-	}
-	if err := c.finish(cost, moved, msgs, "broadcast"); err != nil {
-		return 0, err
-	}
-	return cost, nil
 }
 
 // AllReduceSum sums buf element-wise across all ranks, leaving the result in
@@ -513,32 +462,41 @@ func (b block) bytes() int64 {
 	return int64(4*len(b.i32) + 4*len(b.f32) + len(b.raw))
 }
 
-// ringAllGather rotates each rank's block around the ring so every rank ends
-// with all P blocks, indexed by source rank.
-func (c *Comm) ringAllGather(own block) ([]block, error) {
-	p := c.w.p
-	out := make([]block, p)
-	out[c.rank] = own
-	if p == 1 {
-		return out, nil
+// allGather is the collective behind AllGatherRows and AllGatherBytes: it
+// rotates each rank's block around the ring so every rank ends with all P
+// blocks, indexed by source rank, and charges the variable-size ring cost
+// of the gathered sizes.
+func (c *Comm) allGather(own block, tag string) ([]block, float64, error) {
+	if err := c.enter(); err != nil {
+		return nil, 0, err
 	}
+	p := c.w.p
+	blocks := make([]block, p)
+	blocks[c.rank] = own
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	cur := own
-	curSrc := c.rank
+	cur, curSrc := own, c.rank
 	for s := 0; s < p-1; s++ {
 		if err := c.send(right, message{I32: cur.i32, F32: cur.f32, Raw: cur.raw}); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		m, err := c.recv(left)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		curSrc = (curSrc - 1 + p) % p
 		cur = block{i32: m.I32, f32: m.F32, raw: m.Raw}
-		out[curSrc] = cur
+		blocks[curSrc] = cur
 	}
-	return out, nil
+	sizes := make([]int64, p)
+	for i, b := range blocks {
+		sizes[i] = b.bytes()
+	}
+	cost, moved, msgs := c.w.cluster.AllGatherVCost(sizes)
+	if err := c.finish(cost, moved, msgs, tag); err != nil {
+		return nil, 0, err
+	}
+	return blocks, cost, nil
 }
 
 // AllGatherRows gathers sparse gradient rows: each rank contributes row
@@ -553,19 +511,8 @@ func (c *Comm) ringAllGather(own block) ([]block, error) {
 // them afterwards. The returned per-source slices follow the same rule:
 // read-only, shared with all other ranks.
 func (c *Comm) AllGatherRows(idx []int32, vals []float32, tag string) (allIdx [][]int32, allVals [][]float32, cost float64, err error) {
-	if err := c.enter(); err != nil {
-		return nil, nil, 0, err
-	}
-	blocks, err := c.ringAllGather(block{i32: idx, f32: vals})
+	blocks, cost, err := c.allGather(block{i32: idx, f32: vals}, tag)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	sizes := make([]int64, len(blocks))
-	for i, b := range blocks {
-		sizes[i] = b.bytes()
-	}
-	cost, moved, msgs := c.w.cluster.AllGatherVCost(sizes)
-	if err := c.finish(cost, moved, msgs, tag); err != nil {
 		return nil, nil, 0, err
 	}
 	allIdx = make([][]int32, len(blocks))
@@ -583,19 +530,8 @@ func (c *Comm) AllGatherRows(idx []int32, vals []float32, tag string) (allIdx []
 // be freshly allocated; the returned payloads are read-only and shared
 // across ranks.
 func (c *Comm) AllGatherBytes(payload []byte, tag string) ([][]byte, float64, error) {
-	if err := c.enter(); err != nil {
-		return nil, 0, err
-	}
-	blocks, err := c.ringAllGather(block{raw: payload})
+	blocks, cost, err := c.allGather(block{raw: payload}, tag)
 	if err != nil {
-		return nil, 0, err
-	}
-	sizes := make([]int64, len(blocks))
-	for i, b := range blocks {
-		sizes[i] = b.bytes()
-	}
-	cost, moved, msgs := c.w.cluster.AllGatherVCost(sizes)
-	if err := c.finish(cost, moved, msgs, tag); err != nil {
 		return nil, 0, err
 	}
 	out := make([][]byte, len(blocks))
@@ -615,6 +551,24 @@ const (
 	OpMin
 )
 
+func (op ReduceOp) apply(a, b float64) float64 {
+	switch op {
+	case OpSum:
+		return a + b
+	case OpMax:
+		if b > a {
+			return b
+		}
+		return a
+	case OpMin:
+		if b < a {
+			return b
+		}
+		return a
+	}
+	panic("mpi: unknown reduce op")
+}
+
 // AllReduceScalar reduces one float64 across ranks (binomial reduce to rank
 // 0, then broadcast). Used for loss sums, validation metrics, and the
 // dynamic-selection probe decisions. The returned value is only meaningful
@@ -623,57 +577,9 @@ func (c *Comm) AllReduceScalar(v float64, op ReduceOp) (float64, error) {
 	if err := c.enter(); err != nil {
 		return 0, err
 	}
-	p := c.w.p
-	result := v
-	if p > 1 {
-		// Binomial reduce to rank 0.
-		vr := c.rank
-		for k := 1; k < p; k <<= 1 {
-			if vr&k != 0 {
-				if err := c.send(vr^k, message{F64: result}); err != nil {
-					return 0, err
-				}
-				break
-			} else if vr|k < p {
-				m, err := c.recv(vr | k)
-				if err != nil {
-					return 0, err
-				}
-				switch op {
-				case OpSum:
-					result += m.F64
-				case OpMax:
-					if m.F64 > result {
-						result = m.F64
-					}
-				case OpMin:
-					if m.F64 < result {
-						result = m.F64
-					}
-				default:
-					panic("mpi: unknown reduce op")
-				}
-			}
-		}
-		// Binomial broadcast from rank 0.
-		received := c.rank == 0
-		for k := 1; k < 2*p; k <<= 1 {
-			if c.rank < k && c.rank+k < p {
-				if !received {
-					panic("mpi: scalar broadcast order violated")
-				}
-				if err := c.send(c.rank+k, message{F64: result}); err != nil {
-					return 0, err
-				}
-			} else if c.rank >= k && c.rank < 2*k {
-				m, err := c.recv(c.rank - k)
-				if err != nil {
-					return 0, err
-				}
-				result = m.F64
-				received = true
-			}
-		}
+	result, err := c.scalarTree(v, op)
+	if err != nil {
+		return 0, err
 	}
 	cost, moved, msgs := c.w.cluster.BroadcastCost(8)
 	if err := c.finish(2*cost, 2*moved, 2*msgs, "scalar"); err != nil {

@@ -16,7 +16,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -61,7 +60,7 @@ type Cluster struct {
 	faultsInjected int
 }
 
-// Stats summarize communication activity since construction (or Reset).
+// Stats summarize communication activity since construction.
 type Stats struct {
 	// BytesMoved is the total payload volume crossing the network, summed
 	// over all ranks' sends.
@@ -196,23 +195,6 @@ func (c *Cluster) BytesByTag() map[string]int64 {
 	return out
 }
 
-// ResetStats clears statistics but leaves clocks running.
-func (c *Cluster) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-	c.byTag = map[string]int64{}
-}
-
-// ResetClocks rewinds all clocks to zero.
-func (c *Cluster) ResetClocks() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.clocks {
-		c.clocks[i] = 0
-	}
-}
-
 // ---- Collective cost formulas -------------------------------------------
 //
 // These are the standard LogP-style costs of the algorithms implemented in
@@ -233,54 +215,8 @@ func (c *Cluster) RingAllReduceCost(bytes int64) (cost float64, moved, msgs int6
 	return cost, moved, msgs
 }
 
-// RecursiveDoublingAllReduceCost models log-round all-reduce: ceil(log2 P)
-// exchange rounds each moving the full buffer, plus two folding rounds when
-// P is not a power of two. Latency-optimal, bandwidth-suboptimal — the
-// counterpart to RingAllReduceCost for the DESIGN.md §5 ablation.
-func (c *Cluster) RecursiveDoublingAllReduceCost(bytes int64) (cost float64, moved, msgs int64) {
-	p := int64(c.P())
-	if p == 1 || bytes == 0 {
-		return 0, 0, 0
-	}
-	rounds := int64(math.Ceil(math.Log2(float64(p))))
-	extra := int64(0)
-	if p&(p-1) != 0 {
-		extra = 2 // pre- and post-fold rounds
-	}
-	cost = float64(rounds+extra) * (c.params.Alpha + float64(bytes)*c.params.Beta)
-	moved = (rounds + extra) * p * bytes
-	msgs = (rounds + extra) * p
-	return cost, moved, msgs
-}
-
-// BruckAllGatherCost models Bruck's concatenating all-gather: ceil(log2 P)
-// rounds; every rank still transmits everyone's payloads once (same total
-// volume as the ring) but pays only log-many latencies.
-func (c *Cluster) BruckAllGatherCost(perRank []int64) (cost float64, moved, msgs int64) {
-	p := int64(c.P())
-	if int(p) != len(perRank) {
-		panic(fmt.Sprintf("simnet: BruckAllGatherCost got %d sizes for %d ranks", len(perRank), p))
-	}
-	if p == 1 {
-		return 0, 0, 0
-	}
-	var total int64
-	for _, b := range perRank {
-		total += b
-	}
-	rounds := int64(math.Ceil(math.Log2(float64(p))))
-	if total == 0 {
-		return float64(rounds) * c.params.Alpha, 0, rounds * p
-	}
-	cost = float64(rounds)*c.params.Alpha + float64(total-minInt64(perRank))*c.params.Beta
-	moved = (p - 1) * total
-	msgs = rounds * p
-	return cost, moved, msgs
-}
-
 // AllGatherVCost models a ring all-gather of variable per-rank payloads:
-// P-1 steps; in the worst step a rank forwards the largest single
-// contribution, and in total each rank receives everyone else's bytes.
+// P-1 steps, and in total each rank receives everyone else's bytes.
 func (c *Cluster) AllGatherVCost(perRank []int64) (cost float64, moved, msgs int64) {
 	p := int64(c.P())
 	if int(p) != len(perRank) {
@@ -290,25 +226,19 @@ func (c *Cluster) AllGatherVCost(perRank []int64) (cost float64, moved, msgs int
 		return 0, 0, 0
 	}
 	var total int64
-	var maxPart int64
 	for _, b := range perRank {
 		total += b
-		if b > maxPart {
-			maxPart = b
-		}
 	}
 	if total == 0 {
 		// Ranks still exchange "nothing to send" headers.
 		cost = float64(p-1) * c.params.Alpha
 		return cost, 0, (p - 1) * p
 	}
-	// Ring allgatherv: step k forwards the block received in step k-1.
-	// The critical path is bounded by the largest block each step; a tight,
-	// standard approximation charges (P-1)*alpha plus the time for one rank
-	// to receive all other ranks' data at bandwidth, with the max block
-	// setting per-step latency overlap.
+	// Ring allgatherv: step k forwards the block received in step k-1. The
+	// charge is P-1 per-step latencies plus the bandwidth time of the
+	// busiest receiver: the rank with the smallest own block, which takes
+	// in everyone else's bytes.
 	cost = float64(p-1)*c.params.Alpha + float64(total-minInt64(perRank))*c.params.Beta
-	_ = maxPart
 	moved = (p - 1) * total // every block traverses P-1 hops
 	msgs = (p - 1) * p
 	return cost, moved, msgs
@@ -350,15 +280,4 @@ func (c *Cluster) BarrierCost() (cost float64, moved, msgs int64) {
 // PointToPointCost models one message of the given size.
 func (c *Cluster) PointToPointCost(bytes int64) (cost float64, moved, msgs int64) {
 	return c.params.XferSeconds(bytes), bytes, 1
-}
-
-// Quantile returns the q-quantile (0..1) of the per-rank clocks; useful in
-// tests for checking clock synchronization.
-func (c *Cluster) Quantile(q float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := append([]float64(nil), c.clocks...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
 }

@@ -69,26 +69,6 @@ func TestNegativeChargesPanic(t *testing.T) {
 	}
 }
 
-func TestResetStatsAndClocks(t *testing.T) {
-	c := NewCluster(2, XC40Params())
-	c.AddSeconds(1, 3)
-	c.Collective(1, 10, 2, "x")
-	c.ResetStats()
-	if st := c.Stats(); st.BytesMoved != 0 || st.Collectives != 0 {
-		t.Fatalf("stats not reset: %+v", st)
-	}
-	if len(c.BytesByTag()) != 0 {
-		t.Fatal("tags not reset")
-	}
-	if c.MaxTime() == 0 {
-		t.Fatal("ResetStats must not touch clocks")
-	}
-	c.ResetClocks()
-	if c.MaxTime() != 0 {
-		t.Fatal("clocks not reset")
-	}
-}
-
 func TestRingAllReduceCostSingleRankFree(t *testing.T) {
 	c := NewCluster(1, XC40Params())
 	cost, moved, msgs := c.RingAllReduceCost(1 << 20)
@@ -219,20 +199,6 @@ func TestConcurrentCharging(t *testing.T) {
 		if got := c.Time(r); math.Abs(got-1.0) > 1e-9 {
 			t.Fatalf("rank %d clock %v, want 1.0", r, got)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	c := NewCluster(4, XC40Params())
-	c.AddSeconds(0, 1)
-	c.AddSeconds(1, 2)
-	c.AddSeconds(2, 3)
-	c.AddSeconds(3, 4)
-	if got := c.Quantile(0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Fatalf("q1 = %v", got)
 	}
 }
 

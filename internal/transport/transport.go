@@ -1,8 +1,8 @@
 // Package transport abstracts the byte-moving substrate underneath
-// internal/mpi. The collectives (ring all-reduce, binomial broadcast, ring
-// all-gather) are algorithms over point-to-point sends and receives plus a
-// global rendezvous; this package defines that contract once so it can be
-// satisfied by two very different fabrics:
+// internal/mpi. The collectives (ring all-reduce and reduce-scatter, ring
+// all-gather, binomial scalar tree) are algorithms over point-to-point
+// sends and receives plus a global rendezvous; this package defines that
+// contract once so it can be satisfied by two very different fabrics:
 //
 //   - chantransport: every rank is a goroutine in one process and links are
 //     buffered Go channels — the deterministic simulation backend the golden
